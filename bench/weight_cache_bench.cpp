@@ -4,9 +4,10 @@
 // walks the DAG by weight and confirmation is a weight threshold. The seed
 // implementation re-swept the whole DAG on every query (O(n) per call,
 // O(n^2) across a run); the tangle now maintains weights/depths
-// incrementally on add and memoizes the approximate-weight map behind a
-// generation stamp. This bench quantifies the win on the two hot read
-// paths at growing tangle sizes — the acceptance bar is >= 10x at 10k txs.
+// incrementally on add, so both read paths are O(1) lookups. This bench
+// quantifies the win on the confirmation query at growing tangle sizes —
+// the acceptance bar is >= 10x at 10k txs. (The weighted walk reads the
+// same exact weights; its cost is measured in tip_selection_bench.)
 #include <cstdio>
 
 #include "consensus/pow.h"
@@ -67,46 +68,13 @@ void confirmation_path(const Bed& bed, double* brute_us, double* incr_us) {
       run([&](const tangle::TxId& id) { return bed.tangle.cumulative_weight(id); });
 }
 
-void tip_selection_path(const Bed& bed, double* brute_us, double* cached_us,
-                        double* windowed_us) {
-  const int selections = 50;
-
-  {  // Brute force: a cold selector per call recomputes the weight map.
-    Rng rng(11);
-    const obs::WallTimer timer;
-    for (int i = 0; i < selections; ++i) {
-      const tangle::WeightedWalkTipSelector cold(0.5);
-      bench::do_not_optimize(cold.select(bed.tangle, rng));
-    }
-    *brute_us = timer.elapsed() * 1e6 / selections;
-  }
-  {  // Cached: one selector, generation cache hits on the quiescent tangle.
-    Rng rng(11);
-    const tangle::WeightedWalkTipSelector warm(0.5);
-    const obs::WallTimer timer;
-    for (int i = 0; i < selections; ++i)
-      bench::do_not_optimize(warm.select(bed.tangle, rng));
-    *cached_us = timer.elapsed() * 1e6 / selections;
-  }
-  {  // Windowed: cached map + depth-bounded anchored walk (O(64) per walk).
-    Rng rng(11);
-    const tangle::WeightedWalkTipSelector windowed(0.5, 64);
-    bench::do_not_optimize(windowed.select(bed.tangle, rng));  // warm cache
-    const obs::WallTimer timer;
-    for (int i = 0; i < selections; ++i)
-      bench::do_not_optimize(windowed.select(bed.tangle, rng));
-    *windowed_us = timer.elapsed() * 1e6 / selections;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::Harness h("weight_cache", argc, argv);
   std::printf("# Incremental weight engine vs brute-force DAG sweeps\n");
-  std::printf("%-8s %9s | %12s %12s %9s | %12s %12s %12s %9s\n", "txs",
-              "build_s", "confirm_bf", "confirm_inc", "speedup", "select_bf",
-              "select_cache", "select_win", "speedup");
+  std::printf("%-8s %9s | %12s %12s %9s\n", "txs", "build_s", "confirm_bf",
+              "confirm_inc", "speedup");
   std::printf("#        (us/query unless noted)\n");
 
   for (const int n : h.quick() ? std::vector<int>{500, 2000}
@@ -115,30 +83,20 @@ int main(int argc, char** argv) {
     Rng rng(42);
     bed.grow_uniform(n, rng);
 
-    double confirm_bf = 0, confirm_inc = 0, select_bf = 0, select_cached = 0,
-           select_win = 0;
+    double confirm_bf = 0, confirm_inc = 0;
     confirmation_path(bed, &confirm_bf, &confirm_inc);
-    tip_selection_path(bed, &select_bf, &select_cached, &select_win);
 
-    std::printf(
-        "%-8d %9.2f | %12.3f %12.3f %8.0fx | %12.1f %12.1f %12.1f %8.0fx\n", n,
-        bed.build_seconds, confirm_bf, confirm_inc,
-        confirm_inc > 0 ? confirm_bf / confirm_inc : 0.0, select_bf,
-        select_cached, select_win,
-        select_win > 0 ? select_bf / select_win : 0.0);
+    std::printf("%-8d %9.2f | %12.3f %12.3f %8.0fx\n", n, bed.build_seconds,
+                confirm_bf, confirm_inc,
+                confirm_inc > 0 ? confirm_bf / confirm_inc : 0.0);
     const auto tag = ".n" + std::to_string(n);
     h.record("confirm_us.brute" + tag, confirm_bf, "us/op");
     h.record("confirm_us.incremental" + tag, confirm_inc, "us/op");
-    h.record("select_us.brute" + tag, select_bf, "us/op");
-    h.record("select_us.windowed" + tag, select_win, "us/op");
   }
 
   std::printf(
       "\n# confirm_inc is an O(1) record lookup (the add path already paid "
-      "the +1 cone propagation); select_cache recomputes the weight map only "
-      "when the tangle's generation stamp moves; select_win additionally "
-      "bounds each walk to a 64-deep anchored window, so walk cost stops "
-      "scaling with tangle size. Acceptance: confirm and windowed-select "
-      "speedups >= 10x at 10000 txs.\n");
+      "the +1 cone propagation). Acceptance: confirm speedup >= 10x at "
+      "10000 txs.\n");
   return h.finish();
 }

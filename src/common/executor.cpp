@@ -71,11 +71,11 @@ void TaskGroup::spawn(std::function<void()> task) {
   }
   executor_.submit([this, task = std::move(task)] {
     task();
-    {
-      const sync::MutexLock lock(mutex_);
-      --pending_;
-    }
-    done_cv_.notify_all();
+    // Notify under the lock: once the last task releases mutex_, wait() may
+    // return and the group be destroyed, so nothing of `this` (done_cv_
+    // included) may be touched after the release.
+    const sync::MutexLock lock(mutex_);
+    if (--pending_ == 0) done_cv_.notify_all();
   });
 }
 

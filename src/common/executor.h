@@ -1,5 +1,7 @@
-// Task execution backends for the concurrent admission core (and any future
-// fan-out work). Two backends share one interface:
+// Task execution backends for the concurrent admission core and the
+// gateway's parallel PoW grind — the one thread pool in src/ (biot_lint's
+// raw-sync rule flags a std::thread anywhere else). Two backends share one
+// interface:
 //
 //   InlineExecutor     runs every task at the submit() call site, in order.
 //                      Zero threads, zero queues — the deterministic twin
@@ -115,7 +117,7 @@ class ThreadPoolExecutor final : public Executor {
   bool shutdown_ GUARDED_BY(mutex_) = false;
   std::atomic<std::uint64_t> submitted_{0};
   // biot-lint: allow(guarded-field) written in ctor, joined in shutdown() only
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> workers_;  // biot-lint: allow(raw-sync) the one pool
 };
 
 /// Structured fan-out/join over any Executor. Destruction waits, so a group

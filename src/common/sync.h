@@ -27,8 +27,8 @@
 // Global lock-rank order (low = outer/first, high = inner/last; the full
 // table with the nesting that motivates each edge lives in DESIGN.md §12):
 //
-//   kRankTaskGroup(10) < kRankExecutorQueue(20) < kRankMiner(30)
-//                      < kRankMetrics(40) < kRankLog(50)
+//   kRankTaskGroup(10) < kRankExecutorQueue(20) < kRankMetrics(40)
+//                      < kRankLog(50)
 //
 // kRankLog is the innermost capability in the system: any subsystem may
 // emit a log line while holding its own lock (the metrics registry does,
@@ -84,7 +84,6 @@ inline constexpr unsigned kNoRank = 0;
 
 inline constexpr unsigned kRankTaskGroup = 10;      // common/executor.h
 inline constexpr unsigned kRankExecutorQueue = 20;  // common/executor.h
-inline constexpr unsigned kRankMiner = 30;          // consensus/pow.h
 inline constexpr unsigned kRankMetrics = 40;        // obs/metrics.h
 inline constexpr unsigned kRankLog = 50;            // common/log.cpp (inner)
 
@@ -122,8 +121,12 @@ class CAPABILITY("mutex") Mutex {
     inner_.lock();
   }
   void unlock() RELEASE() {
+    // The rank is read before the release: once inner_ is free, a waiter
+    // may destroy the object that owns this mutex (a TaskGroup whose wait()
+    // returned), so nothing of `this` may be touched afterwards.
+    const unsigned rank = rank_;
     inner_.unlock();
-    internal::on_release(rank_);
+    internal::on_release(rank);
   }
   bool try_lock() TRY_ACQUIRE(true) {
     if (!inner_.try_lock()) return false;
@@ -158,16 +161,18 @@ class CAPABILITY("mutex") SharedMutex {
     inner_.lock();
   }
   void unlock() RELEASE() {
+    const unsigned rank = rank_;  // read before release, as in Mutex::unlock
     inner_.unlock();
-    internal::on_release(rank_);
+    internal::on_release(rank);
   }
   void lock_shared() ACQUIRE_SHARED() {
     internal::on_acquire(rank_);
     inner_.lock_shared();
   }
   void unlock_shared() RELEASE_SHARED() {
+    const unsigned rank = rank_;  // read before release, as in Mutex::unlock
     inner_.unlock_shared();
-    internal::on_release(rank_);
+    internal::on_release(rank);
   }
 
   void assert_held() const ASSERT_CAPABILITY(this) {}

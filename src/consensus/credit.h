@@ -72,7 +72,7 @@ struct CreditParams {
 };
 
 /// Maps TxId -> current weight (validation count). Supplied by the gateway,
-/// typically backed by tangle::approximate_weights or cumulative_weight.
+/// typically backed by tangle::Tangle::cumulative_weight.
 using WeightOracle = std::function<double(const tangle::TxId&)>;
 
 /// Credit state for a single node.

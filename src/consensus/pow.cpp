@@ -1,6 +1,8 @@
 #include "consensus/pow.h"
 
 #include <algorithm>
+#include <thread>
+#include <vector>
 
 #include "crypto/sha256_midstate.h"
 
@@ -55,45 +57,11 @@ ParallelMiner::ParallelMiner(unsigned threads, std::uint64_t start_nonce,
     : threads_(threads != 0 ? threads
                             : std::max(1u, std::thread::hardware_concurrency())),
       max_attempts_(max_attempts),
-      start_nonce_(start_nonce),
-      shard_attempts_(threads_, 0),
-      shard_end_(threads_, 0) {
-  if (threads_ > 1) {
-    pool_.reserve(threads_);
-    for (unsigned t = 0; t < threads_; ++t)
-      pool_.emplace_back([this, t] { worker_loop(t); });
-  }
-}
-
-ParallelMiner::~ParallelMiner() {
-  {
-    const sync::MutexLock lock(mutex_);
-    shutdown_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& th : pool_) th.join();
-}
-
-void ParallelMiner::worker_loop(unsigned t) {
-  std::uint64_t last_seq = 0;
-  for (;;) {
-    std::optional<Job> job;
-    {
-      sync::MutexLock lock(mutex_);
-      while (!shutdown_ && job_seq_ == last_seq) work_cv_.wait(mutex_);
-      if (shutdown_) return;
-      last_seq = job_seq_;
-      job = *job_;  // one copy per job, not per nonce
-    }
-    const ShardResult result = grind_shard(t, *job);
-    {
-      const sync::MutexLock lock(mutex_);
-      shard_attempts_[t] = result.attempts;
-      shard_end_[t] = result.end_nonce;
-      ++workers_done_;
-    }
-    done_cv_.notify_one();
-  }
+      start_nonce_(start_nonce) {
+  if (threads_ == 1)
+    pool_ = std::make_unique<InlineExecutor>();
+  else
+    pool_ = std::make_unique<ThreadPoolExecutor>(threads_);
 }
 
 ParallelMiner::ShardResult ParallelMiner::grind_shard(unsigned t,
@@ -151,49 +119,30 @@ std::optional<MineResult> ParallelMiner::mine(const tangle::TxId& parent1,
   if (difficulty > kMaxPowDifficulty) return std::nullopt;
 
   const unsigned n = threads_;
-  Job job{tangle::PowMidstate(parent1, parent2), difficulty, 0,
-          // Round the per-thread budget up so the combined bound is >= the
-          // requested one (a bounded search must not give up early).
-          max_attempts_ == 0 ? 0 : (max_attempts_ + n - 1) / n};
+  const Job job{tangle::PowMidstate(parent1, parent2), difficulty, start_nonce_,
+                // Round the per-shard budget up so the combined bound is >= the
+                // requested one (a bounded search must not give up early).
+                max_attempts_ == 0 ? 0 : (max_attempts_ + n - 1) / n};
   ++pow_counters().sha_blocks;  // the one-off parent-prefix compression
-  {
-    const sync::MutexLock lock(mutex_);
-    job.start = start_nonce_;
-    job_ = job;
-    found_.store(false, std::memory_order_relaxed);
-    winner_.store(0, std::memory_order_relaxed);
-    std::fill(shard_attempts_.begin(), shard_attempts_.end(), 0);
-    std::fill(shard_end_.begin(), shard_end_.end(), start_nonce_);
-    workers_done_ = 0;
-    ++job_seq_;
-  }
+  found_.store(false, std::memory_order_relaxed);
+  winner_.store(0, std::memory_order_relaxed);
 
-  std::optional<ShardResult> solo;
-  if (n == 1) {
-    solo = grind_shard(0, job);
-  } else {
-    work_cv_.notify_all();
-  }
+  std::vector<ShardResult> shards(n);
+  TaskGroup group(*pool_);
+  for (unsigned t = 0; t < n; ++t)
+    group.spawn([this, t, &job, &shards] { shards[t] = grind_shard(t, job); });
+  group.wait();  // happens-before: every shard's result is visible below
 
   std::uint64_t combined = 0;
-  {
-    sync::MutexLock lock(mutex_);
-    if (solo.has_value()) {
-      shard_attempts_[0] = solo->attempts;
-      shard_end_[0] = solo->end_nonce;
-    } else {
-      while (workers_done_ != n) done_cv_.wait(mutex_);
-    }
-    std::uint64_t max_end = job.start;
-    for (unsigned t = 0; t < n; ++t) {
-      combined += shard_attempts_[t];
-      max_end = std::max(max_end, shard_end_[t]);
-    }
-    total_attempts_ += combined;
-    // Advance the search origin past everything examined so back-to-back
-    // searches over the same parents do not re-grind identical prefixes.
-    start_nonce_ = max_end;
+  std::uint64_t max_end = job.start;
+  for (const ShardResult& shard : shards) {
+    combined += shard.attempts;
+    max_end = std::max(max_end, shard.end_nonce);
   }
+  total_attempts_.fetch_add(combined, std::memory_order_relaxed);
+  // Advance the search origin past everything examined so back-to-back
+  // searches over the same parents do not re-grind identical prefixes.
+  start_nonce_ = max_end;
 
   if (!found_.load(std::memory_order_relaxed)) return std::nullopt;
   return MineResult{winner_.load(std::memory_order_relaxed), combined};

@@ -6,7 +6,7 @@
 // bits. The Miner really grinds nonces (used by tests, examples and
 // host-scale benches); the simulator's DeviceProfile models the same search
 // analytically at calibrated device speeds (see sim/device_profile.h).
-// ParallelMiner shards the nonce space across a persistent worker pool
+// ParallelMiner shards the nonce space across a private thread pool
 // (first-found-wins) for server-class gateways serving offloaded-PoW attach
 // requests.
 //
@@ -20,11 +20,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <thread>
-#include <vector>
 
-#include "common/sync.h"
+#include "common/executor.h"
 #include "obs/metrics.h"
 #include "tangle/transaction.h"
 
@@ -71,18 +70,22 @@ class Miner {
   std::uint64_t total_attempts_ = 0;
 };
 
-/// Multi-threaded nonce search over a persistent worker pool: threads are
-/// spawned once in the constructor and parked between searches, so a
+/// Multi-threaded nonce search over a private ThreadPoolExecutor: threads
+/// are spawned once in the constructor and parked between searches, so a
 /// gateway serving offloaded-PoW attach requests pays no spawn/join per
-/// mine() call. The nonce space is sharded block-cyclically (blocks of 64
-/// consecutive nonces, thread t takes blocks t, t+T, ...) so each thread
-/// feeds the multi-buffer compressor runs of consecutive nonces; the first
-/// thread to meet the target stops the others. Any returned nonce is valid;
-/// WHICH valid nonce wins a given search may differ across thread counts and
-/// runs (see DESIGN.md "ParallelMiner determinism"). Attempts accounting
-/// stays exact: the result's `attempts` (and `total_attempts`) sum every
-/// nonce examined by every thread, so energy/work proxies remain comparable
-/// with Miner.
+/// mine() call. Each mine() fans one shard per thread out through a
+/// TaskGroup. The nonce space is sharded block-cyclically (blocks of 64
+/// consecutive nonces, shard t takes blocks t, t+T, ...) so each shard feeds
+/// the multi-buffer compressor runs of consecutive nonces; the first shard
+/// to meet the target stops the others. Any returned nonce is valid; WHICH
+/// valid nonce wins a given search may differ across thread counts and runs
+/// (see DESIGN.md "ParallelMiner determinism"). Attempts accounting stays
+/// exact: the result's `attempts` (and `total_attempts`) sum every nonce
+/// examined by every shard, so energy/work proxies remain comparable with
+/// Miner. The pool is private, so no shard can ever wait on its own pool.
+///
+/// mine() is single-caller (one search at a time); total_attempts() may be
+/// sampled from any thread.
 class ParallelMiner {
  public:
   /// `threads` = 0 picks the hardware concurrency. `max_attempts` (0 =
@@ -90,63 +93,41 @@ class ParallelMiner {
   /// Miner, the search gives up only once the bound is exhausted.
   explicit ParallelMiner(unsigned threads = 0, std::uint64_t start_nonce = 0,
                          std::uint64_t max_attempts = 0);
-  ~ParallelMiner();
-
-  ParallelMiner(const ParallelMiner&) = delete;
-  ParallelMiner& operator=(const ParallelMiner&) = delete;
 
   std::optional<MineResult> mine(const tangle::TxId& parent1,
                                  const tangle::TxId& parent2, int difficulty);
 
   unsigned thread_count() const { return threads_; }
-  std::uint64_t total_attempts() const EXCLUDES(mutex_) {
-    const sync::MutexLock lock(mutex_);
-    return total_attempts_;
+  std::uint64_t total_attempts() const {
+    return total_attempts_.load(std::memory_order_relaxed);
   }
 
  private:
-  /// One search's parameters, copied out under mutex_ by each worker at job
-  /// start (a PowMidstate is ~100 bytes; one copy per job, not per nonce).
+  /// One search's parameters, shared read-only by every shard.
   struct Job {
     tangle::PowMidstate mid;
     int difficulty = 0;
     std::uint64_t start = 0;
-    std::uint64_t budget = 0;  // per-thread attempt bound (0 = unbounded)
+    std::uint64_t budget = 0;  // per-shard attempt bound (0 = unbounded)
   };
 
-  /// What one shard reports back under mutex_ when its grind ends.
+  /// What one shard reports back when its grind ends.
   struct ShardResult {
     std::uint64_t attempts = 0;
     std::uint64_t end_nonce = 0;  // highest nonce examined + 1
   };
 
-  void worker_loop(unsigned t) EXCLUDES(mutex_);
   ShardResult grind_shard(unsigned t, const Job& job);
 
   const unsigned threads_;
   const std::uint64_t max_attempts_;
-
-  // Job handoff: mine() publishes job_ under mutex_ and bumps job_seq_;
-  // parked workers wake on work_cv_, copy the job out under the lock, grind
-  // their shard lock-free (early exit rides the found_/winner_ atomics),
-  // then report their ShardResult via workers_done_/done_cv_.
-  mutable sync::Mutex mutex_{sync::kRankMiner};
-  sync::CondVar work_cv_;
-  sync::CondVar done_cv_;
-  std::uint64_t job_seq_ GUARDED_BY(mutex_) = 0;
-  unsigned workers_done_ GUARDED_BY(mutex_) = 0;
-  bool shutdown_ GUARDED_BY(mutex_) = false;
-  std::optional<Job> job_ GUARDED_BY(mutex_);
-  std::uint64_t start_nonce_ GUARDED_BY(mutex_);
-  std::uint64_t total_attempts_ GUARDED_BY(mutex_) = 0;
-  std::vector<std::uint64_t> shard_attempts_ GUARDED_BY(mutex_);
-  std::vector<std::uint64_t> shard_end_ GUARDED_BY(mutex_);
+  std::uint64_t start_nonce_;  // mine() only
+  std::atomic<std::uint64_t> total_attempts_{0};
 
   std::atomic<bool> found_{false};
   std::atomic<std::uint64_t> winner_{0};
 
-  // biot-lint: allow(guarded-field) written in ctor, joined in dtor only
-  std::vector<std::thread> pool_;
+  std::unique_ptr<Executor> pool_;  // inline when threads_ == 1
 };
 
 }  // namespace biot::consensus

@@ -54,9 +54,9 @@ struct GatewayConfig {
   /// Cumulative-weight threshold for confirmation queries.
   std::size_t confirmation_weight = 5;
   /// Tip selection handed to light nodes: uniform random over tips, or the
-  /// IOTA-style alpha-weighted MCMC walk (lazy-tip resistant; its weight map
-  /// is generation-cached, so a selection costs O(walk) unless the tangle
-  /// changed — see bench/weight_cache_bench).
+  /// IOTA-style alpha-weighted MCMC walk (lazy-tip resistant; it reads the
+  /// tangle's exact O(1) cumulative weights, so a selection costs O(walk)
+  /// even right after an attach — see bench/tip_selection_bench).
   enum class TipStrategy { kUniform, kWeightedWalk } tips = TipStrategy::kUniform;
   double walk_alpha = 0.5;  // used when tips == kWeightedWalk
   /// Worker threads for offloaded-PoW attach requests (sharded nonce ranges,

@@ -1,19 +1,10 @@
 #include "tangle/tangle.h"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <unordered_set>
 
 namespace biot::tangle {
-
-namespace {
-// Process-wide generation source: every mutation of every tangle gets a
-// unique stamp, so caches keyed on (tangle, generation) can never be fooled
-// by a different tangle reusing the same address and count (see
-// Tangle::generation()).
-std::atomic<std::uint64_t> g_generation{0};
-}  // namespace
 
 Transaction Tangle::make_genesis(TimePoint timestamp) {
   Transaction g;
@@ -31,11 +22,6 @@ Tangle::Tangle(const Transaction& genesis) {
   tips_.insert(genesis_id_);
   order_.push_back(genesis_id_);
   index_tx(genesis, genesis_id_, genesis.timestamp);
-  bump_generation();
-}
-
-void Tangle::bump_generation() {
-  generation_ = ++g_generation;
 }
 
 Status Tangle::attach_precheck(const Transaction& tx) const {
@@ -72,7 +58,6 @@ void Tangle::AttachBatch::commit() {
   if (pending_.empty()) return;
   for (const auto* rec : pending_)
     tangle_.index_tx(rec->tx, rec->tx.id(), rec->arrival);
-  tangle_.bump_generation();
   pending_.clear();
 }
 
@@ -166,13 +151,12 @@ Status Tangle::add_impl(const Transaction& tx, TimePoint arrival,
   order_.push_back(id);
   if (batch == nullptr) {
     index_tx(tx, id, arrival);
-    bump_generation();
   } else {
-    // Deferred maintenance: the index entries, summary toggles and the
-    // generation bump land in AttachBatch::commit(), in this attach order —
-    // the XOR digest/sketch folds are order-independent and insert_sorted
-    // sees the same monotone arrivals, so the post-commit state is
-    // identical to per-transaction indexing.
+    // Deferred maintenance: the index entries and summary toggles land in
+    // AttachBatch::commit(), in this attach order — the XOR digest/sketch
+    // folds are order-independent and insert_sorted sees the same monotone
+    // arrivals, so the post-commit state is identical to per-transaction
+    // indexing.
     batch->pending_.push_back(&new_rec);
   }
   return Status::ok();
@@ -316,28 +300,6 @@ std::size_t Tangle::depth_brute_force(const TxId& id) const {
     memo[*it] = best;
   }
   return memo.at(id);
-}
-
-WeightMap approximate_weights(const Tangle& tangle) {
-  WeightMap w;
-  const auto& order = tangle.arrival_order();
-  w.reserve(order.size());
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const auto* rec = tangle.find(*it);
-    double sum = 1.0;
-    for (const auto& ap : rec->approvers) sum += w[ap];
-    w[*it] = sum;
-  }
-  return w;
-}
-
-const WeightMap& ApproxWeightCache::get(const Tangle& tangle) {
-  if (tangle_ != &tangle || generation_ != tangle.generation()) {
-    weights_ = approximate_weights(tangle);
-    tangle_ = &tangle;
-    generation_ = tangle.generation();
-  }
-  return weights_;
 }
 
 }  // namespace biot::tangle

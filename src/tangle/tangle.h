@@ -87,14 +87,12 @@ class Tangle {
   /// attach immediately — records, approvers, tips, arrival order, weight
   /// and depth propagation all stay live, so later batch members can parent
   /// on earlier ones and duplicate/lazy checks see the true DAG — but the
-  /// secondary-index inserts, the XOR digest / SetSketch toggles and the
-  /// generation bump are deferred to one commit() epilogue, amortizing
-  /// their maintenance across the batch (one cache invalidation per batch
-  /// instead of one per transaction). Mid-batch, readers of the DEFERRED
-  /// state (data_since, arrival_index, id_digest/id_sketch, generation-
-  /// keyed caches) see the pre-batch snapshot; the admission loop is the
-  /// only writer and reads none of them, and commit() runs before control
-  /// returns to anything that does.
+  /// secondary-index inserts and the XOR digest / SetSketch toggles are
+  /// deferred to one commit() epilogue, amortizing their maintenance across
+  /// the batch. Mid-batch, readers of the DEFERRED state (data_since,
+  /// arrival_index, id_digest/id_sketch) see the pre-batch snapshot; the
+  /// admission loop is the only writer and reads none of them, and commit()
+  /// runs before control returns to anything that does.
   ///
   /// Failed add() calls leave no trace, exactly like Tangle::add. The
   /// destructor commits whatever attached, so a batch cannot be dropped
@@ -111,8 +109,8 @@ class Tangle {
     [[nodiscard]] Status add(const Transaction& tx, TimePoint arrival,
                              const VerifiedToken& token);
 
-    /// Applies the deferred index/digest/sketch updates and bumps the
-    /// generation once. Idempotent; called by the destructor.
+    /// Applies the deferred index/digest/sketch updates. Idempotent; called
+    /// by the destructor.
     void commit();
 
     /// Attaches not yet indexed (zero after commit()).
@@ -153,13 +151,6 @@ class Tangle {
   const TxId& genesis_id() const { return genesis_id_; }
   /// Ids in arrival order (stable iteration for benches/metrics).
   const std::vector<TxId>& arrival_order() const { return order_; }
-
-  /// Mutation stamp for generation-based cache invalidation. Stamps are
-  /// drawn from a process-wide monotone counter, so two *different* tangle
-  /// states never share a generation — even across move-assignment (e.g. a
-  /// gateway swapping in a pruned replica at the same address). Equal
-  /// generation therefore guarantees an identical DAG.
-  std::uint64_t generation() const { return generation_; }
 
   std::size_t approver_count(const TxId& id) const;
 
@@ -232,7 +223,6 @@ class Tangle {
 
   Status add_impl(const Transaction& tx, TimePoint arrival, bool pre_verified,
                   AttachBatch* batch = nullptr);
-  void bump_generation();
   void index_tx(const Transaction& tx, const TxId& id, TimePoint arrival);
   static void insert_sorted(std::vector<IndexEntry>& index, IndexEntry entry);
 
@@ -240,7 +230,6 @@ class Tangle {
   std::set<TxId> tips_;
   std::vector<TxId> order_;
   TxId genesis_id_;
-  std::uint64_t generation_ = 0;
   std::uint64_t visit_epoch_ = 0;       // stamps one add-path BFS
   std::vector<TxRecord*> cone_scratch_;  // reused BFS frontier (no allocs)
 
@@ -251,27 +240,6 @@ class Tangle {
   std::vector<IndexEntry> by_arrival_;
   IdDigest id_digest_;
   SetSketch id_sketch_;
-};
-
-using WeightMap = std::unordered_map<TxId, double, FixedBytesHash<32>>;
-
-/// Approximate weights for every transaction (see Tangle::cumulative_weight
-/// for the exact version): one reverse-topological pass, additive children
-/// rule. Returned map is keyed by TxId.
-WeightMap approximate_weights(const Tangle& tangle);
-
-/// Memoizes `approximate_weights` keyed on the tangle's generation stamp:
-/// `get` recomputes only when the tangle mutated (or a different tangle is
-/// passed) since the last call. See DESIGN.md "Incremental weight engine"
-/// for the invalidation contract.
-class ApproxWeightCache {
- public:
-  const WeightMap& get(const Tangle& tangle);
-
- private:
-  const Tangle* tangle_ = nullptr;
-  std::uint64_t generation_ = 0;
-  WeightMap weights_;
 };
 
 }  // namespace biot::tangle

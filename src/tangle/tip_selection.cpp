@@ -1,7 +1,7 @@
 #include "tangle/tip_selection.h"
 
+#include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <vector>
 
 namespace biot::tangle {
@@ -23,13 +23,9 @@ TipPair UniformRandomTipSelector::select(const Tangle& tangle, Rng& rng) const {
 }
 
 TxId WeightedWalkTipSelector::walk(const Tangle& tangle, const TxId& start,
-                                   const WeightMap& weights, Rng& rng) const {
-  const auto weight_of = [&weights](const TxId& id) {
-    const auto it = weights.find(id);
-    return it == weights.end() ? 0.0 : it->second;
-  };
-
+                                   Rng& rng) const {
   TxId current = start;
+  std::vector<double> cumulative;
   for (;;) {
     const auto* rec = tangle.find(current);
     if (rec == nullptr) {
@@ -41,17 +37,20 @@ TxId WeightedWalkTipSelector::walk(const Tangle& tangle, const TxId& start,
     if (rec->approvers.empty()) return current;  // reached a tip
 
     // Transition probabilities proportional to exp(alpha * w); normalize by
-    // the max exponent for numerical stability.
-    double max_w = 0.0;
-    for (const auto& ap : rec->approvers)
-      max_w = std::max(max_w, weight_of(ap));
-
-    std::vector<double> cumulative;
-    cumulative.reserve(rec->approvers.size());
-    double total = 0.0;
+    // the max exponent for numerical stability. Exact weights are integers
+    // bounded by the tangle size, so every term is finite and the heaviest
+    // approver's is 1: the total never becomes inf or NaN.
+    cumulative.clear();
+    std::size_t max_w = 0;
     for (const auto& ap : rec->approvers) {
-      total += std::exp(alpha_ * (weight_of(ap) - max_w));
-      cumulative.push_back(total);
+      const std::size_t w = tangle.cumulative_weight(ap);
+      max_w = std::max(max_w, w);
+      cumulative.push_back(static_cast<double>(w));
+    }
+    double total = 0.0;
+    for (double& c : cumulative) {
+      total += std::exp(alpha_ * (c - static_cast<double>(max_w)));
+      c = total;
     }
 
     const double pick = rng.uniform(0.0, total);
@@ -62,35 +61,10 @@ TxId WeightedWalkTipSelector::walk(const Tangle& tangle, const TxId& start,
   }
 }
 
-TxId WeightedWalkTipSelector::anchor(const Tangle& tangle, Rng& rng) const {
-  const auto& tips = tangle.tips();
-  if (tips.empty()) return tangle.genesis_id();
-
-  auto it = tips.begin();
-  std::advance(it, rng.index(tips.size()));
-  const TxRecord* rec = tangle.find(*it);
-  TxId current = *it;
-  for (std::size_t step = 0;
-       rec != nullptr && rec->parent1_rec != nullptr && step < max_walk_depth_;
-       ++step) {
-    current = rec->tx.parent1;
-    rec = rec->parent1_rec;
-  }
-  return current;
-}
-
 TipPair WeightedWalkTipSelector::select(const Tangle& tangle, Rng& rng) const {
   last_walk_steps_ = 0;  // walk() accumulates across the two walks below
-  const auto& weights = cache_.get(tangle);
-  if (max_walk_depth_ == 0) {
-    const auto& start = tangle.genesis_id();
-    return {walk(tangle, start, weights, rng),
-            walk(tangle, start, weights, rng)};
-  }
-  // Depth-windowed mode: independent anchors for the two walks so the pair
-  // is not forced through one shared subtangle.
-  return {walk(tangle, anchor(tangle, rng), weights, rng),
-          walk(tangle, anchor(tangle, rng), weights, rng)};
+  const auto& start = tangle.genesis_id();
+  return {walk(tangle, start, rng), walk(tangle, start, rng)};
 }
 
 }  // namespace biot::tangle

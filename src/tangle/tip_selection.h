@@ -39,24 +39,13 @@ class UniformRandomTipSelector final : public TipSelector {
 
 /// IOTA-style alpha-weighted Markov-chain walk from genesis toward the tips.
 /// At each step the walker moves to approver `a` with probability
-/// proportional to exp(alpha * w(a)), where w is the fast approximate
-/// cumulative weight. alpha = 0 degenerates to an unweighted walk; larger
-/// alpha concentrates on the main tangle and abandons lazy side-branches.
-///
-/// The weight map is cached across calls and recomputed only when the
-/// tangle's generation stamp moves, so repeated selections on a quiescent
-/// tangle are O(walk length), not O(n).
-///
-/// `max_walk_depth` bounds the walk length IOTA-style: when nonzero, each
-/// walk starts from an *anchor* found by following parent1 links
-/// `max_walk_depth` steps down from a random tip, instead of from genesis.
-/// That caps a selection at O(max_walk_depth) regardless of tangle size,
-/// while still biasing among the recent subtangle where tip competition
-/// actually happens. 0 (the default) keeps the full genesis walk.
+/// proportional to exp(alpha * w(a)), where w is the exact cumulative weight
+/// the tangle maintains on add (Tangle::cumulative_weight, an O(1) lookup).
+/// alpha = 0 degenerates to an unweighted walk; larger alpha concentrates on
+/// the main tangle and abandons lazy side-branches.
 class WeightedWalkTipSelector final : public TipSelector {
  public:
-  explicit WeightedWalkTipSelector(double alpha, std::size_t max_walk_depth = 0)
-      : alpha_(alpha), max_walk_depth_(max_walk_depth) {}
+  explicit WeightedWalkTipSelector(double alpha) : alpha_(alpha) {}
   TipPair select(const Tangle& tangle, Rng& rng) const override;
 
   /// Edges traversed by both walks of the last select().
@@ -64,19 +53,11 @@ class WeightedWalkTipSelector final : public TipSelector {
 
   /// One walk from `start` toward the tips. Defensive against bad inputs:
   /// an id unknown to `tangle` (or a walk stepping onto one) falls back to
-  /// an arbitrary current tip, and a transaction missing from `weights`
-  /// counts as weight 0 instead of throwing.
-  TxId walk(const Tangle& tangle, const TxId& start, const WeightMap& weights,
-            Rng& rng) const;
+  /// an arbitrary current tip.
+  TxId walk(const Tangle& tangle, const TxId& start, Rng& rng) const;
 
  private:
-  /// Walk start for the depth-windowed mode: a random tip, then parent1
-  /// links down up to `max_walk_depth_` steps (stopping early at genesis).
-  TxId anchor(const Tangle& tangle, Rng& rng) const;
-
   double alpha_;
-  std::size_t max_walk_depth_;
-  mutable ApproxWeightCache cache_;
   mutable std::size_t last_walk_steps_ = 0;
 };
 

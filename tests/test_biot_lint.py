@@ -116,6 +116,13 @@ class ViolationsTree(unittest.TestCase):
     def test_raw_sync_allow_requires_rationale(self):
         self.assert_finding("src/common/racy.cpp:9", "raw-sync")
 
+    def test_raw_sync_thread_objects(self):
+        self.assert_finding("src/node/spawner.cpp:5", "raw-sync")
+        self.assert_finding("src/node/spawner.cpp:6", "raw-sync")
+        self.assertIn("run the work on the one pool", self.out)
+        # std::thread::hardware_concurrency names no thread object.
+        self.assertNotIn("src/node/spawner.cpp:7", self.out)
+
     def test_guarded_field_unannotated_member(self):
         self.assert_finding("src/common/racy.h:10", "guarded-field")
         self.assertIn("no GUARDED_BY", self.out)

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -152,6 +153,24 @@ TEST(TaskGroupTest, SpawnIsSafeFromMultipleProducerThreads) {
   for (auto& t : producers) t.join();
   group.wait();
   EXPECT_EQ(ran.load(), 256);
+}
+
+TEST(TaskGroupTest, GroupMayBeDestroyedAsSoonAsWaitReturns) {
+  // The pattern every admit_many() and ParallelMiner::mine() call follows:
+  // create a group, fan out, wait, destroy. The last worker must not touch
+  // the group after the release that lets wait() return; a heap group makes
+  // any such touch a use-after-free under ASan and a race under TSan.
+  ThreadPoolExecutor pool(4);
+  std::atomic<int> ran{0};
+  constexpr int kRounds = 3000;
+  for (int round = 0; round < kRounds; ++round) {
+    auto group = std::make_unique<TaskGroup>(pool);
+    for (int i = 0; i < 4; ++i)
+      group->spawn([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    group->wait();
+    group.reset();
+  }
+  EXPECT_EQ(ran.load(), 4 * kRounds);
 }
 
 TEST(TaskGroupTest, WorksOnTheInlineBackendToo) {

@@ -110,6 +110,22 @@ TEST(ParallelMiner, ZeroThreadsPicksHardwareConcurrency) {
   EXPECT_GE(miner.thread_count(), 1u);
 }
 
+TEST(ParallelMiner, GrindPassesTheLockRankChecker) {
+  // The grind fans out through a TaskGroup on the miner's private pool:
+  // group (rank 10) and queue (rank 20) locks are never nested out of
+  // order, and no shard waits on its own pool, so back-to-back searches
+  // run clean with rank checking armed.
+  const bool was_checking = sync::lock_rank_checking();
+  sync::set_lock_rank_checking(true);
+  ParallelMiner miner(4);
+  TxId p{};
+  for (int i = 0; i < 16; ++i) {
+    p[0] = static_cast<std::uint8_t>(i);
+    ASSERT_TRUE(miner.mine(p, p, 6));
+  }
+  sync::set_lock_rank_checking(was_checking);
+}
+
 TEST(ParallelMiner, MatchesSerialMinerWorkDistribution) {
   // Parallel search at difficulty D should need attempts of the same order
   // as the serial miner (mean 2^D); verify the proxy stays comparable.

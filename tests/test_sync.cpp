@@ -180,8 +180,8 @@ TEST(LockRankDeathTest, OutOfOrderAcquisitionAborts) {
 
 TEST(LockRankDeathTest, EqualRankAcquisitionAborts) {
   const ScopedRankChecking checking(true);
-  Mutex first(kRankMiner);
-  Mutex second(kRankMiner);
+  Mutex first(kRankMetrics);
+  Mutex second(kRankMetrics);
   const MutexLock hold_first(first);
   // Two locks of the same rank have no defined order between them, so the
   // checker treats rank ties as violations too.

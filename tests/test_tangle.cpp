@@ -230,19 +230,6 @@ TEST_F(TangleTest, DepthGrowsTowardGenesis) {
   EXPECT_EQ(tangle_.depth(g), 2u);
 }
 
-TEST_F(TangleTest, ApproximateWeightsUpperBoundExact) {
-  const auto g = tangle_.genesis_id();
-  const auto a = attach(alice_, g, g);
-  const auto b = attach(bob_, a.id(), g);
-  const auto c = attach(alice_, b.id(), a.id());
-  (void)c;
-  const auto approx = approximate_weights(tangle_);
-  for (const auto& id : tangle_.arrival_order()) {
-    EXPECT_GE(approx.at(id) + 1e-9,
-              static_cast<double>(tangle_.cumulative_weight(id)));
-  }
-}
-
 TEST_F(TangleTest, ArrivalOrderIsInsertionOrder) {
   const auto g = tangle_.genesis_id();
   const auto a = attach(alice_, g, g);

@@ -1,10 +1,12 @@
 // Incremental weight engine: property tests proving the incrementally
 // maintained cumulative weights and depths agree with the brute-force
-// reference sweeps on randomized DAGs, generation-cache invalidation, and
-// regression tests for the tip-selection correctness fixes (duplicate tip
-// draw, null/missing-weight walk).
+// reference sweeps on randomized DAGs, and regression tests for the
+// tip-selection correctness fixes (duplicate tip draw, null walk, finite
+// walk weights on deep tangles).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "common/rng.h"
@@ -84,73 +86,6 @@ TEST(WeightEngine, UnknownIdIsZeroForBothImplementations) {
   EXPECT_EQ(tangle.depth_brute_force(bogus), 0u);
 }
 
-// ---- Generation stamps / weight cache ---------------------------------------
-
-TEST(WeightEngine, GenerationMovesOnlyOnSuccessfulAdd) {
-  Tangle tangle(Tangle::make_genesis());
-  TxFactory node(1);
-  const auto g0 = tangle.generation();
-
-  auto tx = node.make(tangle.genesis_id(), tangle.genesis_id(), 1);
-  ASSERT_TRUE(tangle.add(tx, 0.0).is_ok());
-  const auto g1 = tangle.generation();
-  EXPECT_NE(g1, g0);
-
-  // Rejected adds (duplicate) leave the generation untouched.
-  EXPECT_FALSE(tangle.add(tx, 0.0).is_ok());
-  EXPECT_EQ(tangle.generation(), g1);
-}
-
-TEST(WeightEngine, DistinctTanglesNeverShareAGeneration) {
-  // The stamp is process-wide: two tangles built the same way still get
-  // distinct generations, so a cache can never confuse them.
-  Tangle a(Tangle::make_genesis());
-  Tangle b(Tangle::make_genesis());
-  EXPECT_NE(a.generation(), b.generation());
-}
-
-TEST(WeightEngine, ApproxWeightCacheRecomputesOnlyWhenStale) {
-  Tangle tangle(Tangle::make_genesis());
-  TxFactory node(1);
-  auto tx = node.make(tangle.genesis_id(), tangle.genesis_id(), 1);
-  ASSERT_TRUE(tangle.add(tx, 0.0).is_ok());
-
-  ApproxWeightCache cache;
-  const auto& w1 = cache.get(tangle);
-  EXPECT_EQ(w1.size(), 2u);
-  // Quiescent tangle: same map object, unchanged contents.
-  EXPECT_EQ(&cache.get(tangle), &w1);
-  EXPECT_EQ(cache.get(tangle).size(), 2u);
-
-  auto tx2 = node.make(tx.id(), tx.id(), 1);
-  ASSERT_TRUE(tangle.add(tx2, 0.1).is_ok());
-  const auto& w2 = cache.get(tangle);
-  EXPECT_EQ(w2.size(), 3u);
-  EXPECT_DOUBLE_EQ(w2.at(tangle.genesis_id()), 3.0);
-}
-
-TEST(WeightEngine, CachedWalkMatchesUncachedDistribution) {
-  // The cached selector must agree with a fresh per-call computation: same
-  // seed, same tangle, same picks.
-  Tangle tangle(Tangle::make_genesis());
-  TxFactory node(3);
-  Rng grow(3);
-  UniformRandomTipSelector uniform;
-  for (int i = 0; i < 40; ++i) {
-    const auto [p1, p2] = uniform.select(tangle, grow);
-    const auto tx = node.make(p1, p2, 1, {}, 0.1 * i);
-    ASSERT_TRUE(tangle.add(tx, 0.1 * i).is_ok());
-  }
-  WeightedWalkTipSelector cached(0.5);
-  Rng r1(9), r2(9);
-  for (int i = 0; i < 20; ++i) {
-    WeightedWalkTipSelector fresh(0.5);  // cold cache: recomputes per call
-    const auto a = cached.select(tangle, r1);
-    const auto b = fresh.select(tangle, r2);
-    EXPECT_EQ(a, b);
-  }
-}
-
 // ---- Regression: duplicate-tip fix ------------------------------------------
 
 TEST(TipSelectionRegression, UniformNeverRepeatsWhenTwoTipsExist) {
@@ -192,7 +127,7 @@ TEST(TipSelectionRegression, UniformStillCoversEveryTipPair) {
   EXPECT_EQ(seen.size(), 12u);
 }
 
-// ---- Regression: null-walk / missing-weight fix -----------------------------
+// ---- Regression: null-walk fix and deep-tangle weights ----------------------
 
 TEST(TipSelectionRegression, WalkFromUnknownIdFallsBackToATip) {
   Tangle tangle(Tangle::make_genesis());
@@ -206,54 +141,62 @@ TEST(TipSelectionRegression, WalkFromUnknownIdFallsBackToATip) {
   TxId foreign{};
   foreign[0] = 0xde;
   foreign[1] = 0xad;
-  const auto weights = approximate_weights(tangle);
-  const auto landed = selector.walk(tangle, foreign, weights, rng);
+  const auto landed = selector.walk(tangle, foreign, rng);
   EXPECT_TRUE(tangle.is_tip(landed));
 }
 
-TEST(TipSelectionRegression, WalkToleratesMissingWeightEntries) {
-  // A stale/partial weight map (e.g. computed before the latest attach) must
-  // not throw out of std::unordered_map::at; missing entries count as 0.
+TEST(TipSelectionRegression, DeepTangleWalkKeepsFiniteTransitionWeights) {
+  // A 1,600-tx chain in which each tx approves the previous two. An additive
+  // path count grows like Fibonacci here (Fib(1600) > DBL_MAX), so a walk
+  // on it saw inf weights and NaN transitions; the exact weight of genesis
+  // is just 1,601.
+  constexpr int kChain = 1600;
   Tangle tangle(Tangle::make_genesis());
   TxFactory node(1);
-  const auto g = tangle.genesis_id();
-  const auto stale_weights = approximate_weights(tangle);  // genesis only
-  auto prev = g;
-  for (int i = 0; i < 6; ++i) {
-    const auto tx = node.make(prev, prev, 1, {}, 0.1 * i);
-    ASSERT_TRUE(tangle.add(tx, 0.1 * i).is_ok());
-    prev = tx.id();
+  TxId newest = tangle.genesis_id();
+  TxId older = tangle.genesis_id();
+  for (int i = 0; i < kChain; ++i) {
+    const auto tx = node.make(newest, older, 1, {}, 0.01 * i);
+    ASSERT_TRUE(tangle.add(tx, 0.01 * i).is_ok());
+    older = newest;
+    newest = tx.id();
   }
+  ASSERT_EQ(tangle.cumulative_weight(tangle.genesis_id()), kChain + 1u);
+  ASSERT_EQ(tangle.tips(), std::set<TxId>{newest});
 
-  WeightedWalkTipSelector selector(2.0);
-  Rng rng(2);
-  const auto landed = selector.walk(tangle, g, stale_weights, rng);
-  EXPECT_TRUE(tangle.is_tip(landed));
-}
-
-TEST(TipSelectionRegression, WindowedWalkSelectsValidTips) {
-  // The depth-windowed mode anchors each walk a bounded number of parent
-  // steps behind a random tip; it must still land on real tips, for windows
-  // both smaller and larger than the tangle's depth.
-  Tangle tangle(Tangle::make_genesis());
-  TxFactory node(1);
-  UniformRandomTipSelector uniform;
-  Rng grow_rng(31);
-  for (int i = 0; i < 60; ++i) {
-    const auto [p1, p2] = uniform.select(tangle, grow_rng);
-    const auto tx = node.make(p1, p2, 1, {}, 0.1 * i);
-    ASSERT_TRUE(tangle.add(tx, 0.1 * i).is_ok());
-  }
-
-  for (const std::size_t window : {std::size_t{1}, std::size_t{8},
-                                   std::size_t{10000}}) {
-    WeightedWalkTipSelector windowed(0.5, window);
-    Rng rng(7);
-    for (int i = 0; i < 20; ++i) {
-      const auto [t1, t2] = windowed.select(tangle, rng);
-      EXPECT_TRUE(tangle.is_tip(t1)) << "window=" << window;
-      EXPECT_TRUE(tangle.is_tip(t2)) << "window=" << window;
+  for (const double alpha : {0.5, 5.0}) {
+    // Every transition weight the walk draws from is finite and positive.
+    for (const auto& id : tangle.arrival_order()) {
+      const auto& approvers = tangle.find(id)->approvers;
+      std::size_t max_w = 0;
+      for (const auto& ap : approvers)
+        max_w = std::max(max_w, tangle.cumulative_weight(ap));
+      for (const auto& ap : approvers) {
+        const double term =
+            std::exp(alpha * (static_cast<double>(tangle.cumulative_weight(ap)) -
+                              static_cast<double>(max_w)));
+        ASSERT_TRUE(std::isfinite(term) && term > 0.0) << "alpha=" << alpha;
+      }
     }
+
+    WeightedWalkTipSelector selector(alpha);
+    Rng rng(7);
+    constexpr int kSelects = 10;
+    double steps = 0.0;
+    for (int i = 0; i < kSelects; ++i) {
+      const auto [t1, t2] = selector.select(tangle, rng);
+      EXPECT_EQ(t1, newest) << "alpha=" << alpha;
+      EXPECT_EQ(t2, newest) << "alpha=" << alpha;
+      steps += static_cast<double>(selector.last_walk_steps());
+    }
+    // The two approvers of each tx differ by exactly one unit of weight, so
+    // a step moves to the next tx with p = e^a / (1 + e^a) and skips one tx
+    // otherwise: a walk takes about kChain / (2 - p) steps. A walk on
+    // degenerate weights always takes the first approver (kChain steps).
+    const double p = std::exp(alpha) / (1.0 + std::exp(alpha));
+    const double expected = kChain / (2.0 - p);
+    EXPECT_NEAR(steps / (2 * kSelects), expected, 0.05 * expected)
+        << "alpha=" << alpha;
   }
 }
 

@@ -70,6 +70,12 @@ optionally followed by a rationale — suppressions without one are rejected):
                    src/common/sync.{h,cpp} themselves carry the justified
                    `// biot-lint: allow(raw-sync)` carve-outs (they ARE the
                    wrapper layer); any other use needs its own rationale.
+                   The same rule flags std::thread / std::jthread objects:
+                   src/common/executor.h owns the one thread pool (and its
+                   allow()), so fan-out work goes through Executor /
+                   TaskGroup. Static members such as
+                   std::thread::hardware_concurrency name no thread and
+                   are not flagged.
 
   guarded-field    Heuristic: a class owning a sync::Mutex/SharedMutex must
                    annotate each non-atomic, non-const mutable data member
@@ -157,6 +163,10 @@ RAW_SYNC_RE = re.compile(
     r"\bstd\s*::\s*(?:(?:recursive_|timed_|recursive_timed_|shared_)?mutex"
     r"|condition_variable(?:_any)?"
     r"|lock_guard|unique_lock|scoped_lock|shared_lock)\b")
+
+# Raw thread objects. The trailing `::` exclusion keeps static members
+# (std::thread::hardware_concurrency, std::thread::id) out of scope.
+RAW_THREAD_RE = re.compile(r"\bstd\s*::\s*j?thread\b(?!\s*::)")
 
 # A class member that is one of our annotated mutexes — the trigger for the
 # guarded-field heuristic. Uppercase M keeps std::shared_mutex (raw-sync's
@@ -481,6 +491,12 @@ class Linter:
                          "Safety Analysis and the lock-rank checker see the "
                          "acquisition, or allow() with why the wrapper "
                          "cannot be used here", lines)
+            if RAW_THREAD_RE.search(line):
+                self.add("raw-sync", path, i + 1,
+                         "raw std::thread — run the work on the one pool in "
+                         "src/common/executor.h (Executor / TaskGroup) so "
+                         "every worker thread lives in one place, or allow() "
+                         "with why a separate thread is needed", lines)
 
     def _class_bodies(self, text: str):
         """Yields (depth0_lines, …) per class/struct: the body lines at

@@ -24,87 +24,73 @@ U512 load_le(ByteView b) {
 }
 
 // Group order L = 2^252 + 27742317777372353535851937790883648493 (253 bits).
-constexpr u64 kL[8] = {0x5812631a5cf5d3edull, 0x14def9dea2f79cd6ull,
-                       0x0000000000000000ull, 0x1000000000000000ull, 0, 0, 0, 0};
+constexpr u64 kL[4] = {0x5812631a5cf5d3edull, 0x14def9dea2f79cd6ull, 0,
+                       0x1000000000000000ull};
+// Barrett constant floor(2^512 / L) (260 bits).
+constexpr u64 kMu[5] = {0xed9ce5a30a2c131bull, 0x2106215d086329a7ull,
+                        0xffffffffffffffebull, 0xffffffffffffffffull, 0xf};
 
-// Compares x with (L << shift); returns true if x >= L<<shift.
-bool geq_shifted(const U512& x, int shift) {
-  // Build L << shift lazily word by word from the top.
-  const int word_shift = shift / 64;
-  const int bit_shift = shift % 64;
-  for (int i = 7; i >= 0; --i) {
-    u64 li = 0;
-    const int src = i - word_shift;
-    if (src >= 0 && src < 8) li = kL[src] << bit_shift;
-    if (bit_shift != 0 && src - 1 >= 0) li |= kL[src - 1] >> (64 - bit_shift);
-    if (x.w[i] != li) return x.w[i] > li;
+// out = a - b mod 2^256; returns the borrow (1 iff a < b).
+u64 sub_256(const u64 a[4], const u64 b[4], u64 out[4]) {
+  u64 borrow = 0;
+  for (int i = 0; i < 4; ++i) {
+    const u128 d = (u128)a[i] - b[i] - borrow;
+    out[i] = (u64)d;
+    borrow = (u64)(d >> 64) & 1;
   }
-  return true;  // equal
+  return borrow;
 }
 
-// Subtracts (L << shift) from x; caller guarantees x >= L<<shift.
-void sub_shifted(U512& x, int shift) {
-  const int word_shift = shift / 64;
-  const int bit_shift = shift % 64;
-  u128 bor = 0;
-  for (int i = 0; i < 8; ++i) {
-    u64 li = 0;
-    const int src = i - word_shift;
-    if (src >= 0 && src < 8) li = kL[src] << bit_shift;
-    if (bit_shift != 0 && src - 1 >= 0) li |= kL[src - 1] >> (64 - bit_shift);
-    const u128 lhs = (u128)x.w[i];
-    const u128 rhs = (u128)li + bor;
-    if (lhs >= rhs) {
-      x.w[i] = (u64)(lhs - rhs);
-      bor = 0;
-    } else {
-      x.w[i] = (u64)(lhs + ((u128)1 << 64) - rhs);
-      bor = 1;
+// x mod L by Barrett reduction (HAC 14.42 with b = 2^64, k = 4). The
+// quotient estimate q = floor(floor(x / 2^192) * mu / 2^320) is floor(x / L)
+// or one less: the two truncations lose under 2^192 / L + (2^512 / L - mu)
+// < 0.23 of x / L. So x - q*L lies in [0, 2L), fits in 256 bits, and one
+// masked subtraction of L finishes. No branch depends on x, which holds the
+// nonce and the secret scalar while signing.
+FixedBytes<32> mod_l(const U512& x) {
+  u64 q[10] = {0};  // floor(x / 2^192) * mu; the quotient is q[5..9]
+  for (int i = 0; i < 5; ++i) {
+    u128 carry = 0;
+    for (int j = 0; j < 5; ++j) {
+      const u128 t = (u128)x.w[3 + i] * kMu[j] + q[i + j] + carry;
+      q[i + j] = (u64)t;
+      carry = t >> 64;
+    }
+    q[i + 5] = (u64)carry;
+  }
+  u64 ql[4] = {0};  // (q * L) mod 2^256
+  for (int i = 0; i < 4; ++i) {
+    u128 carry = 0;
+    for (int j = 0; i + j < 4; ++j) {
+      const u128 t = (u128)q[5 + i] * kL[j] + ql[i + j] + carry;
+      ql[i + j] = (u64)t;
+      carry = t >> 64;
     }
   }
-}
-
-// x mod L via binary shift-subtract (x up to 512 bits, L is 253 bits).
-FixedBytes<32> mod_l(U512 x) {
-  for (int shift = 512 - 253; shift >= 0; --shift) {
-    if (geq_shifted(x, shift)) sub_shifted(x, shift);
-  }
+  u64 r[4], t[4];
+  sub_256(x.w, ql, r);
+  const u64 keep = 0 - sub_256(r, kL, t);  // all ones iff r < L
+  for (int i = 0; i < 4; ++i) r[i] = (r[i] & keep) | (t[i] & ~keep);
   FixedBytes<32> out;
   for (int i = 0; i < 32; ++i)
-    out[i] = static_cast<std::uint8_t>(x.w[i / 8] >> (8 * (i % 8)));
+    out[i] = static_cast<std::uint8_t>(r[i / 8] >> (8 * (i % 8)));
   return out;
 }
 
-U512 mul_256(ByteView a, ByteView b) {
-  u64 aw[4] = {0}, bw[4] = {0};
-  for (int i = 0; i < 32; ++i) {
-    aw[i / 8] |= u64{a[i]} << (8 * (i % 8));
-    bw[i / 8] |= u64{b[i]} << (8 * (i % 8));
-  }
-  U512 r;
+// a*b + c for 32-byte little-endian operands; < 2^512, so it cannot overflow.
+U512 muladd_512(ByteView a, ByteView b, ByteView c) {
+  const U512 x = load_le(a), y = load_le(b);
+  U512 r = load_le(c);
   for (int i = 0; i < 4; ++i) {
     u128 carry = 0;
     for (int j = 0; j < 4; ++j) {
-      const u128 t = (u128)aw[i] * bw[j] + r.w[i + j] + carry;
+      const u128 t = (u128)x.w[i] * y.w[j] + r.w[i + j] + carry;
       r.w[i + j] = (u64)t;
       carry = t >> 64;
     }
-    r.w[i + 4] += (u64)carry;
+    r.w[i + 4] = (u64)carry;
   }
   return r;
-}
-
-U512 add_512(U512 a, ByteView c32) {
-  u128 carry = 0;
-  for (int i = 0; i < 8; ++i) {
-    u64 ci = 0;
-    if (i < 4)
-      for (int j = 0; j < 8; ++j) ci |= u64{c32[8 * i + j]} << (8 * j);
-    const u128 t = (u128)a.w[i] + ci + carry;
-    a.w[i] = (u64)t;
-    carry = t >> 64;
-  }
-  return a;
 }
 }  // namespace
 
@@ -116,7 +102,7 @@ FixedBytes<32> sc_reduce64(ByteView bytes64) {
 FixedBytes<32> sc_muladd(ByteView a, ByteView b, ByteView c) {
   if (a.size() != 32 || b.size() != 32 || c.size() != 32)
     throw std::invalid_argument("sc_muladd: need 32-byte operands");
-  return mod_l(add_512(mul_256(a, b), c));
+  return mod_l(muladd_512(a, b, c));
 }
 
 bool sc_is_canonical(ByteView s) {
@@ -175,25 +161,32 @@ EdPoint EdPoint::dbl() const {
 
 EdPoint EdPoint::negate() const { return EdPoint{X.negate(), Y, Z, T.negate()}; }
 
-namespace {
-// True iff p is the neutral element, for any projective representation.
-// X = 0 forces affine x = 0, so p is (0, 1) or the order-2 point (0, -1);
-// Y == Z picks out (0, 1) without paying compress()'s field inversion.
-bool is_identity(const EdPoint& p) { return p.X.is_zero() && p.Y == p.Z; }
-
-// [8]p via three doublings — maps any curve point into the prime-order
-// subgroup (the full group is Z_L x Z_8).
-EdPoint mul_cofactor(const EdPoint& p) { return p.dbl().dbl().dbl(); }
-}  // namespace
-
+// Fixed 4-bit window, constant time (see ed25519.h): 63 positions of 4
+// doublings and an unconditional add of a masked 16-way table select.
 EdPoint EdPoint::scalar_mul(ByteView scalar32) const {
   if (scalar32.size() != 32)
     throw std::invalid_argument("scalar_mul: need 32-byte scalar");
-  EdPoint r = identity();
-  for (int bit = 255; bit >= 0; --bit) {
-    r = r.dbl();
-    if ((scalar32[bit >> 3] >> (bit & 7)) & 1) r = r.add(*this);
-  }
+  EdPoint table[16];  // table[d] = d * (*this)
+  table[0] = identity();
+  table[1] = *this;
+  for (int d = 2; d < 16; ++d) table[d] = table[d - 1].add(*this);
+  const auto lookup = [&](int w) {
+    const u64 digit = (scalar32[w >> 1] >> (4 * (w & 1))) & 0x0f;
+    EdPoint out = table[0];
+    for (u64 d = 1; d < 16; ++d) {
+      const u64 mask = 0 - (((d ^ digit) - 1) >> 63);  // all ones iff d == digit
+      const auto blend = [mask](Fe& a, const Fe& b) {
+        for (int i = 0; i < 5; ++i) a.v[i] ^= (a.v[i] ^ b.v[i]) & mask;
+      };
+      blend(out.X, table[d].X);
+      blend(out.Y, table[d].Y);
+      blend(out.Z, table[d].Z);
+      blend(out.T, table[d].T);
+    }
+    return out;
+  };
+  EdPoint r = lookup(63);
+  for (int w = 62; w >= 0; --w) r = r.dbl().dbl().dbl().dbl().add(lookup(w));
   return r;
 }
 
@@ -273,167 +266,159 @@ obs::Counter& ed25519_verify_calls() {
   return counter;
 }
 
-bool ed25519_verify(const Ed25519PublicKey& pk, ByteView message,
-                    const Ed25519Signature& sig) {
-  ++ed25519_verify_calls();
-  const ByteView r_bytes{sig.data.data(), 32};
-  const ByteView s_bytes{sig.data.data() + 32, 32};
-  if (!sc_is_canonical(s_bytes)) return false;
+namespace {
+// True iff p is the neutral element, for any projective representation.
+// X = 0 forces affine x = 0, so p is (0, 1) or the order-2 point (0, -1);
+// Y == Z picks out (0, 1) without paying compress()'s field inversion.
+bool is_identity(const EdPoint& p) { return p.X.is_zero() && p.Y == p.Z; }
 
-  const auto A = EdPoint::decompress(pk.view());
-  if (!A) return false;
-  // Strict R: must decode AND be canonically encoded (re-compression
-  // reproduces the wire bytes) — the same acceptance set as the historical
-  // compare-by-encoding check, which only ever matched canonical encodings.
-  const auto R = EdPoint::decompress(r_bytes);
-  if (!R || !ct_equal(R->compress().view(), r_bytes)) return false;
+// [8]p via three doublings — maps any curve point into the prime-order
+// subgroup (the full group is Z_L x Z_8).
+EdPoint mul_cofactor(const EdPoint& p) { return p.dbl().dbl().dbl(); }
 
-  const auto k_hash = Sha512::hash_concat({r_bytes, pk.view(), message});
-  const auto k = sc_reduce64(k_hash.view());
-
-  // Cofactored acceptance: [8]([S]B - [k]A - R) == identity. Multiplying by
-  // the cofactor folds any small-order component of A or R out of the check,
-  // which is what makes this rule batchable: a random-linear-combination
-  // batch equation over the prime-order subgroup decides EXACTLY this
-  // predicate (up to ~2^-128), for every input. The cofactorless rule does
-  // not batch soundly — for A carrying an 8-torsion component the batch
-  // term z*[k]T vanishes whenever z*k = 0 mod 8, a condition an adversary
-  // who controls the batch transcript can grind for in ~8 tries — so both
-  // paths use the cofactored rule and stay consensus-consistent.
-  const EdPoint sB = EdPoint::base().scalar_mul(s_bytes);
-  const EdPoint kA = A->negate().scalar_mul(k.view());
-  return is_identity(mul_cofactor(sB.add(kA).add(R->negate())));
+// True iff the low 255 bits of a little-endian field encoding are < p. For a
+// point that decompresses, this is exactly "compress() reproduces the
+// bytes", without compress()'s field inversion.
+bool fe_encoding_canonical(ByteView b) {
+  if ((b[31] & 0x7f) != 0x7f) return true;
+  for (int i = 30; i > 0; --i)
+    if (b[i] != 0xff) return true;
+  return b[0] < 0xed;  // p = 2^255 - 19 ends in byte 0xed
 }
 
-std::vector<bool> ed25519_verify_batch(const std::vector<VerifyItem>& items) {
-  const std::size_t n = items.size();
-  std::vector<bool> out(n, false);
-  if (n < 2) {
-    for (std::size_t i = 0; i < n; ++i)
-      out[i] = ed25519_verify(*items[i].pk, items[i].message, *items[i].sig);
-    return out;
-  }
+// A signature past every check that needs no group arithmetic.
+struct Decoded {
+  EdPoint neg_A, neg_R;
+  FixedBytes<32> k;  // H(R || A || M) mod L
+};
 
-  // Pre-filter: exactly the decode/canonicality rejections ed25519_verify
-  // makes before any scalar multiplication (non-canonical S, undecodable A,
-  // undecodable or non-canonically-encoded R). Each rejection here settles
-  // the item, so it accounts one verification — the counter reads the same
-  // whether a workload arrives through the batch or the scalar path.
-  struct Term {
-    std::size_t index;
-    EdPoint neg_A;
-    EdPoint neg_R;
-    FixedBytes<32> k;
-  };
-  std::vector<Term> terms;
-  terms.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const ByteView r_bytes{items[i].sig->data.data(), 32};
-    const ByteView s_bytes{items[i].sig->data.data() + 32, 32};
-    if (!sc_is_canonical(s_bytes)) {
-      ++ed25519_verify_calls();
-      continue;
-    }
-    const auto A = EdPoint::decompress(items[i].pk->view());
-    if (!A) {
-      ++ed25519_verify_calls();
-      continue;
-    }
-    const auto R = EdPoint::decompress(r_bytes);
-    if (!R || !ct_equal(R->compress().view(), r_bytes)) {
-      ++ed25519_verify_calls();
-      continue;
-    }
-    const auto k_hash =
-        Sha512::hash_concat({r_bytes, items[i].pk->view(), items[i].message});
-    terms.push_back(Term{i, A->negate(), R->negate(), sc_reduce64(k_hash.view())});
-  }
-  if (terms.empty()) return out;
+// The decode step both verification paths share: canonical S, decodable A,
+// canonically encoded and decodable R, then the challenge k.
+std::optional<Decoded> decode(const Ed25519PublicKey& pk, ByteView message,
+                              const Ed25519Signature& sig) {
+  const ByteView r_bytes{sig.data.data(), 32};
+  if (!sc_is_canonical(ByteView{sig.data.data() + 32, 32})) return std::nullopt;
+  const auto A = EdPoint::decompress(pk.view());
+  if (!A || !fe_encoding_canonical(r_bytes)) return std::nullopt;
+  const auto R = EdPoint::decompress(r_bytes);
+  if (!R) return std::nullopt;
+  const auto k_hash = Sha512::hash_concat({r_bytes, pk.view(), message});
+  return Decoded{A->negate(), R->negate(), sc_reduce64(k_hash.view())};
+}
 
-  // Deterministic 128-bit coefficients z_i from a transcript of the whole
-  // batch (r ‖ pk ‖ S ‖ H(msg) per item): an adversary fixing signatures
-  // cannot steer the z_i after the fact. Soundness (a batch containing any
-  // cofactored-invalid signature passes with probability ~2^-128) holds
-  // because the final check multiplies the accumulated sum by the cofactor:
-  // every term [8]([S_i]B - R_i - [k_i]A_i) then lies in the prime-order
-  // subgroup, where a nonzero term survives a random 128-bit combination
-  // only with ~2^-128 probability — grinding the transcript cannot help.
-  // (Without the [8], an 8-torsion component in A_i or R_i survives exactly
-  // when z_i*k_i = 0 mod 8, which a transcript-controlling adversary can
-  // grind for in ~8 tries; see ed25519_verify.)
-  Bytes transcript;
-  for (const Term& t : terms) {
-    const auto& it = items[t.index];
-    transcript.insert(transcript.end(), it.sig->data.begin(),
-                      it.sig->data.end());
-    transcript.insert(transcript.end(), it.pk->data.begin(), it.pk->data.end());
-    const auto msg_hash = Sha512::hash(it.message);
-    transcript.insert(transcript.end(), msg_hash.data.begin(),
-                      msg_hash.data.end());
-  }
-  const auto seed = Sha512::hash(ByteView{transcript});
+// One term [scalar]P of a multi-scalar product (scalar: 32 LE bytes).
+struct MulTerm {
+  const std::uint8_t* scalar;
+  const EdPoint* point;
+};
 
-  // Combined equation: sum_i z_i * ([S_i]B - R_i - [k_i]A_i) == identity,
-  // i.e. [sum z_i S_i mod L]B + sum [z_i](-R_i) + sum [z_i k_i mod L](-A_i).
-  FixedBytes<32> zero{};
-  FixedBytes<32> s_sum = zero;
-  std::vector<std::pair<FixedBytes<32>, const EdPoint*>> muls;
-  muls.reserve(2 * terms.size() + 1);
-  for (std::size_t j = 0; j < terms.size(); ++j) {
-    std::uint8_t idx_le[8];
-    for (int b = 0; b < 8; ++b)
-      idx_le[b] = static_cast<std::uint8_t>(j >> (8 * b));
-    const auto zh = Sha512::hash_concat({seed.view(), ByteView{idx_le, 8}});
-    FixedBytes<32> z = zero;
-    std::memcpy(z.data.data(), zh.data.data(), 16);  // 128-bit coefficient
-    const ByteView s_bytes{items[terms[j].index].sig->data.data() + 32, 32};
-    s_sum = sc_muladd(z.view(), s_bytes, s_sum.view());
-    muls.emplace_back(z, &terms[j].neg_R);
-    muls.emplace_back(sc_muladd(z.view(), terms[j].k.view(), zero.view()),
-                      &terms[j].neg_A);
-  }
-  muls.emplace_back(s_sum, &EdPoint::base());
-
-  // Shared Straus double-and-add with interleaved 4-bit fixed windows: one
-  // accumulator, 4 doublings per window position across EVERY term, and per
-  // term one table addition per nonzero base-16 digit. The 15-entry tables
-  // (T[d] = d*P, 14 additions each) turn the ~128 set-bit additions of a
-  // 256-bit scalar into ~60 digit additions — ~256 doublings + ~120
-  // additions per signature instead of ~770 operations each when verified
-  // individually, and the doublings amortize away as the batch grows.
-  struct WindowedTerm {
-    const std::uint8_t* scalar;  // 32 bytes, little-endian
-    EdPoint table[15];           // table[d - 1] = d * P
-  };
-  std::vector<WindowedTerm> windowed;
-  windowed.reserve(muls.size());
-  for (const auto& [scalar, point] : muls) {
-    WindowedTerm wt;
-    wt.scalar = scalar.data.data();
-    wt.table[0] = *point;
-    for (int d = 1; d < 15; ++d) wt.table[d] = wt.table[d - 1].add(*point);
-    windowed.push_back(wt);
+// sum_i [s_i]P_i by Straus' shared double-and-add over 4-bit windows: one
+// accumulator, 4 doublings per window position shared by every term, and per
+// term one addition from its table (table[d - 1] = dP) per nonzero base-16
+// digit. Branches and table indices follow the scalars, so this is variable
+// time: public scalars only (verification), never a secret.
+EdPoint straus(std::span<const MulTerm> terms) {
+  std::vector<std::array<EdPoint, 15>> tables(terms.size());
+  for (std::size_t i = 0; i < terms.size(); ++i) {
+    tables[i][0] = *terms[i].point;
+    for (int d = 1; d < 15; ++d)
+      tables[i][d] = tables[i][d - 1].add(*terms[i].point);
   }
   EdPoint acc = EdPoint::identity();
   for (int w = 63; w >= 0; --w) {
     acc = acc.dbl().dbl().dbl().dbl();
-    for (const auto& t : windowed) {
-      const unsigned digit = (t.scalar[w >> 1] >> (4 * (w & 1))) & 0x0f;
-      if (digit != 0) acc = acc.add(t.table[digit - 1]);
+    for (std::size_t i = 0; i < terms.size(); ++i) {
+      const unsigned digit = (terms[i].scalar[w >> 1] >> (4 * (w & 1))) & 0x0f;
+      if (digit != 0) acc = acc.add(tables[i][digit - 1]);
+    }
+  }
+  return acc;
+}
+
+// Cofactored acceptance: [8]([S]B - [k]A - R) == identity. The [8] folds any
+// small-order component of A or R out of the check, which makes the rule
+// batchable: a random-linear-combination batch over the prime-order subgroup
+// decides exactly this predicate (up to ~2^-128) for every input. The
+// cofactorless rule does not batch soundly: for A with an 8-torsion component
+// the batch term z*[k]T vanishes whenever z*k = 0 mod 8, which an adversary
+// controlling the batch transcript can grind for in ~8 tries.
+bool accepts(const Decoded& d, const Ed25519Signature& sig) {
+  const MulTerm terms[2] = {{sig.data.data() + 32, &EdPoint::base()},
+                            {d.k.data.data(), &d.neg_A}};
+  return is_identity(mul_cofactor(straus(terms).add(d.neg_R)));
+}
+}  // namespace
+
+bool ed25519_verify(const Ed25519PublicKey& pk, ByteView message,
+                    const Ed25519Signature& sig) {
+  ++ed25519_verify_calls();
+  const auto d = decode(pk, message, sig);
+  return d && accepts(*d, sig);
+}
+
+std::vector<bool> ed25519_verify_batch(const std::vector<VerifyItem>& items) {
+  // A decode rejection settles its item, so it accounts one verification:
+  // the counter reads the same whether a workload arrives through the batch
+  // or the scalar path.
+  std::vector<bool> out(items.size(), false);
+  std::vector<std::pair<std::size_t, Decoded>> terms;
+  terms.reserve(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (auto d = decode(*items[i].pk, items[i].message, *items[i].sig))
+      terms.emplace_back(i, *d);
+    else
+      ++ed25519_verify_calls();
+  }
+
+  // Deterministic 128-bit coefficients z_i from a transcript of the whole
+  // batch (R ‖ S ‖ pk ‖ H(msg) per item), so signatures fixed in advance
+  // cannot steer them. The final [8] puts every term [8]([S_i]B - R_i -
+  // [k_i]A_i) in the prime-order subgroup, where a nonzero term survives a
+  // random 128-bit combination with probability ~2^-128: a batch holding any
+  // cofactored-invalid signature fails it, whatever the transcript.
+  if (terms.size() > 1) {
+    Bytes transcript;
+    for (const auto& [index, d] : terms) {
+      const auto& it = items[index];
+      const auto msg_hash = Sha512::hash(it.message);
+      for (const ByteView part : {it.sig->view(), it.pk->view(), msg_hash.view()})
+        transcript.insert(transcript.end(), part.begin(), part.end());
+    }
+    const auto seed = Sha512::hash(ByteView{transcript});
+
+    // Combined equation: sum_i z_i * ([S_i]B - R_i - [k_i]A_i) == identity,
+    // i.e. [sum z_i S_i mod L]B + sum [z_i](-R_i) + sum [z_i k_i mod L](-A_i).
+    const FixedBytes<32> zero{};
+    FixedBytes<32> s_sum = zero;
+    std::vector<std::array<FixedBytes<32>, 2>> zk(terms.size());  // z_j, z_j k_j
+    std::vector<MulTerm> muls;
+    for (std::size_t j = 0; j < terms.size(); ++j) {
+      std::uint8_t idx_le[8];
+      for (int b = 0; b < 8; ++b)
+        idx_le[b] = static_cast<std::uint8_t>(j >> (8 * b));
+      const auto zh = Sha512::hash_concat({seed.view(), ByteView{idx_le, 8}});
+      auto& [z, z_k] = zk[j];
+      std::memcpy(z.data.data(), zh.data.data(), 16);  // 128-bit coefficient
+      const auto& [index, d] = terms[j];
+      s_sum = sc_muladd(z.view(), ByteView{items[index].sig->data.data() + 32, 32},
+                        s_sum.view());
+      z_k = sc_muladd(z.view(), d.k.view(), zero.view());
+      muls.push_back({z.data.data(), &d.neg_R});
+      muls.push_back({z_k.data.data(), &d.neg_A});
+    }
+    muls.push_back({s_sum.data.data(), &EdPoint::base()});
+    if (is_identity(mul_cofactor(straus(muls)))) {
+      ed25519_verify_calls() += terms.size();
+      for (const auto& [index, d] : terms) out[index] = true;
+      return out;
     }
   }
 
-  if (is_identity(mul_cofactor(acc))) {
-    ed25519_verify_calls() += terms.size();
-    for (const Term& t : terms) out[t.index] = true;
-    return out;
-  }
-
-  // At least one bad signature slipped past the pre-filter: identify the
-  // corrupt positions individually.
-  for (const Term& t : terms) {
-    const auto& it = items[t.index];
-    out[t.index] = ed25519_verify(*it.pk, it.message, *it.sig);
+  // A lone signature, or a batch holding at least one bad one: settle each
+  // item on its own, which identifies the corrupt positions.
+  for (const auto& [index, d] : terms) {
+    ++ed25519_verify_calls();
+    out[index] = accepts(d, *items[index].sig);
   }
   return out;
 }

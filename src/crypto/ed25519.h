@@ -27,14 +27,17 @@ struct EdPoint {
   EdPoint add(const EdPoint& other) const;
   EdPoint dbl() const;
   EdPoint negate() const;
-  /// Scalar multiplication, scalar given as 32 little-endian bytes.
+  /// Scalar multiplication, scalar given as 32 little-endian bytes. Constant
+  /// time in the scalar (no branch or memory address depends on it): keygen
+  /// and signing pass secrets here, verification uses its own Straus kernel.
   EdPoint scalar_mul(ByteView scalar32) const;
 
   FixedBytes<32> compress() const;
   static std::optional<EdPoint> decompress(ByteView bytes32);
 };
 
-/// Reduces a 64-byte little-endian value mod the group order L.
+/// Reduces a 64-byte little-endian value mod the group order L. Constant
+/// time, like sc_muladd: both handle the secret scalar and nonce in signing.
 FixedBytes<32> sc_reduce64(ByteView bytes64);
 /// (a*b + c) mod L; all operands 32-byte little-endian.
 FixedBytes<32> sc_muladd(ByteView a, ByteView b, ByteView c);
@@ -53,7 +56,8 @@ struct Ed25519KeyPair {
 Ed25519Signature ed25519_sign(const Ed25519KeyPair& kp, ByteView message);
 
 /// Verifies under the COFACTORED rule: strict about canonical S and the R
-/// encoding, then accepts iff [8]([S]B - [k]A - R) is the identity. RFC 8032
+/// encoding (y < p), then accepts iff [8]([S]B - [k]A - R) is the identity,
+/// computed by the batch path's Straus kernel. RFC 8032
 /// permits either the cofactored or the cofactorless group equation; the
 /// cofactored one is the consensus-safe choice because it is the unique rule
 /// a random-linear-combination batch can decide exactly — scalar and batch
@@ -82,10 +86,9 @@ struct VerifyItem {
 /// rule as ed25519_verify (equal to the per-item result except with the
 /// ~2^-128 probability that a bad batch defeats the 128-bit random linear
 /// combination). Sound batches (the common case) are settled with ONE
-/// combined group equation over a shared Straus double-and-add — roughly 3x
-/// cheaper than verifying n signatures individually at n = 8. When the
-/// combined equation fails (at least one bad signature), the batch falls
-/// back to per-item verification to identify the corrupt positions.
+/// combined group equation, whose Straus kernel shares its doublings across
+/// the batch. When the combined equation fails (at least one bad signature),
+/// each item is checked as ed25519_verify would, to find the corrupt ones.
 std::vector<bool> ed25519_verify_batch(const std::vector<VerifyItem>& items);
 
 }  // namespace biot::crypto

@@ -99,6 +99,7 @@ void Sha512::process_block(const std::uint8_t* block) {
 }
 
 void Sha512::update(ByteView data) {
+  if (data.empty()) return;  // data() may be null, which memcpy must not get
   total_len_ += data.size();
   std::size_t offset = 0;
 

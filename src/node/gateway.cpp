@@ -106,13 +106,13 @@ Gateway::Gateway(sim::NodeId id, const crypto::Identity& identity,
   // (Ingress::kReplay) — every derived-state observer, stats included,
   // re-runs exactly as it did live, so live/restore divergence is
   // impossible by construction. Structural validity was already re-checked
-  // when the tangle loaded (deserialize_tangle runs every signature and
-  // PoW through Tangle::add).
+  // when the tangle loaded (deserialize_tangle batch-verifies every
+  // signature and runs the structural and PoW checks of Tangle::add).
   replay(restored);
 }
 
 void Gateway::replay(const tangle::Tangle& restored) {
-  // Every member of `restored` already passed a verifying Tangle::add
+  // Every member of `restored` already had its signature verified
   // (deserialize_tangle re-checks each signature as it loads), so replay
   // admits with an assume_valid token per transaction instead of verifying
   // a second time — batch ingress with zero Ed25519 work. The batch runs

@@ -4,7 +4,8 @@
 //
 // Format: u32 count, then per transaction (in arrival order) f64 arrival +
 // length-prefixed encoding, then a trailing SHA-256 over everything before
-// it. Reload re-validates every transaction through Tangle::add, so a
+// it. Reload re-validates every transaction (signatures batch-verified a
+// chunk at a time, then the structural and PoW checks of Tangle::add), so a
 // tampered or truncated file cannot produce a corrupt replica.
 #pragma once
 

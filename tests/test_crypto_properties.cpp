@@ -3,6 +3,9 @@
 // These are the properties the RFC vectors alone cannot establish.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
 #include "common/bytes.h"
 #include "crypto/aes.h"
 #include "crypto/aes_modes.h"
@@ -113,6 +116,102 @@ TEST_P(ScalarLaws, GroupHomomorphism) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScalarLaws, ::testing::Values(7, 11, 19, 42));
+
+// Reference arithmetic mod L, one bit at a time: r = 2r + bit, then r - L
+// when r >= L. Values are 33 little-endian bytes, enough for anything < 2L.
+using Wide = std::array<std::uint8_t, 33>;
+
+Wide wide_l() {
+  Wide l{};
+  const Bytes lb = from_hex(
+      "edd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010");
+  std::copy(lb.begin(), lb.end(), l.begin());
+  return l;
+}
+
+// r = (r + y) mod L for r, y < L.
+void ref_add_mod(Wide& r, const Wide& y) {
+  unsigned carry = 0;
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    carry += r[i] + y[i];
+    r[i] = static_cast<std::uint8_t>(carry);
+    carry >>= 8;
+  }
+  const Wide l = wide_l();
+  if (!std::lexicographical_compare(r.rbegin(), r.rend(), l.rbegin(), l.rend())) {
+    int borrow = 0;
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      const int d = r[i] - l[i] - borrow;
+      r[i] = static_cast<std::uint8_t>(d);
+      borrow = d < 0 ? 1 : 0;
+    }
+  }
+}
+
+// sum over the bits of `bits` (MSB first) of bit * unit * 2^position, mod L.
+Wide ref_mul_mod(ByteView bits, const Wide& unit) {
+  Wide r{};
+  for (std::size_t bit = bits.size() * 8; bit-- > 0;) {
+    const Wide twice = r;
+    ref_add_mod(r, twice);
+    if ((bits[bit / 8] >> (bit % 8)) & 1) ref_add_mod(r, unit);
+  }
+  return r;
+}
+
+Wide ref_reduce(ByteView x) {
+  Wide one{};
+  one[0] = 1;
+  return ref_mul_mod(x, one);
+}
+
+FixedBytes<32> narrow(const Wide& w) {
+  EXPECT_EQ(w[32], 0);
+  FixedBytes<32> out;
+  std::copy(w.begin(), w.begin() + 32, out.data.begin());
+  return out;
+}
+
+Bytes le_bytes(const Wide& w, std::size_t n) {
+  Bytes out(n, 0);
+  std::copy(w.begin(), w.begin() + std::min(n, w.size()), out.begin());
+  return out;
+}
+
+std::vector<Bytes> scalar_edges(std::size_t n) {
+  Wide l = wide_l(), l_minus_1 = wide_l(), two_l = wide_l();
+  l_minus_1[0] -= 1;  // L ends in 0xed, so no borrow
+  unsigned carry = 0;
+  for (std::size_t i = 0; i < two_l.size(); ++i) {
+    carry += 2u * l[i];
+    two_l[i] = static_cast<std::uint8_t>(carry);
+    carry >>= 8;
+  }
+  return {Bytes(n, 0), le_bytes(l_minus_1, n), le_bytes(l, n),
+          le_bytes(two_l, n), Bytes(n, 0xff)};
+}
+
+TEST(ScalarReduction, Reduce64MatchesShiftSubtractReference) {
+  std::vector<Bytes> inputs = scalar_edges(64);  // 0, L-1, L, 2L, 2^512-1
+  Csprng rng(512);
+  for (int i = 0; i < 200; ++i) inputs.push_back(rng.bytes(64));
+  for (const auto& x : inputs)
+    EXPECT_EQ(sc_reduce64(x), narrow(ref_reduce(x))) << to_hex(x);
+}
+
+TEST(ScalarReduction, MulAddMatchesShiftSubtractReference) {
+  std::vector<Bytes> values = scalar_edges(32);  // 0, L-1, L, 2L, 2^256-1
+  Csprng rng(256);
+  for (int i = 0; i < 6; ++i) values.push_back(rng.bytes(32));
+  for (const auto& a : values)
+    for (const auto& b : values)
+      for (const auto& c : values) {
+        Wide want = ref_mul_mod(a, ref_reduce(b));
+        ref_add_mod(want, ref_reduce(c));
+        EXPECT_EQ(sc_muladd(a, b, c), narrow(want))
+            << to_hex(a) << " " << to_hex(b) << " " << to_hex(c);
+      }
+}
 
 TEST(EdPointProps, CompressDecompressIsIdentityOnRandomPoints) {
   Csprng rng(99);

@@ -567,6 +567,38 @@ TEST(Ed25519Cofactored, CorruptTorsionedEntryRejectedOnBothPaths) {
   EXPECT_TRUE(got[2]);
 }
 
+// R must be canonically encoded (its y < p), not merely decodable. With the
+// identity as public key and S = 0 the cofactored equation holds for R = the
+// identity, so the y = 1 + p encoding of that same point is rejected for its
+// encoding alone, on the scalar path and inside a batch.
+TEST(Ed25519, NonCanonicalRRejectedOnBothPaths) {
+  const auto identity_enc = EdPoint::identity().compress();
+  const Ed25519PublicKey pk = identity_enc;
+  const Bytes msg = to_bytes("non-canonical R");
+  Ed25519Signature canonical{};  // R = identity (01 00 .. 00), S = 0
+  std::memcpy(canonical.data.data(), identity_enc.data.data(), 32);
+  Ed25519Signature forged{};     // R = identity encoded as y = 1 + p
+  forged[0] = 0xee;
+  for (std::size_t i = 1; i < 31; ++i) forged[i] = 0xff;
+  forged[31] = 0x7f;
+  const auto R = EdPoint::decompress(ByteView{forged.data.data(), 32});
+  ASSERT_TRUE(R.has_value());
+  ASSERT_EQ(R->compress(), identity_enc);
+
+  EXPECT_TRUE(ed25519_verify(pk, msg, canonical));
+  EXPECT_FALSE(ed25519_verify(pk, msg, forged));
+  for (const bool use_forged : {false, true}) {
+    auto f = make_batch(4, {}, 9400);
+    f.pks[2] = pk;
+    f.msgs[2] = msg;
+    f.sigs[2] = use_forged ? forged : canonical;
+    const auto got = ed25519_verify_batch(f.items());
+    ASSERT_EQ(got.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i)
+      EXPECT_EQ(got[i], i != 2 || !use_forged) << "forged=" << use_forged << " i=" << i;
+  }
+}
+
 TEST(Identity, DeterministicIsStable) {
   const auto a = Identity::deterministic(5);
   const auto b = Identity::deterministic(5);

@@ -25,6 +25,12 @@ std::string param_name(const ::testing::TestParamInfo<SweepParams>& info) {
   return name;
 }
 
+// gtest_discover_tests names each ctest entry after the printed parameter;
+// the default printer would dump the struct's bytes, padding included.
+void PrintTo(const SweepParams& p, std::ostream* os) {
+  *os << param_name(::testing::TestParamInfo<SweepParams>(p, 0));
+}
+
 class ScenarioSweep : public ::testing::TestWithParam<SweepParams> {};
 
 TEST_P(ScenarioSweep, SystemInvariantsHold) {

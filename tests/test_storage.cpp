@@ -2,6 +2,7 @@
 // tangle serialization/cold-start, snapshot state hashing and pruning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -166,6 +167,32 @@ TEST(TangleIo, TamperedTransactionRejectedOnReload) {
   Bytes forged = body;
   forged.insert(forged.end(), digest.begin(), digest.end());
   EXPECT_FALSE(deserialize_tangle(forged));
+}
+
+TEST(TangleIo, BadSignatureFailsReload) {
+  // Only the signature changes: parents, nonce and PoW stay valid, so the
+  // batch verification on reload is the check that must catch it.
+  TxFactory node(10);
+  const auto tangle = build_tangle(node, 80);
+  Bytes body = serialize_tangle(tangle);
+  body.resize(body.size() - 32);
+  const auto& sig = tangle.find(tangle.arrival_order()[70])->tx.signature;
+  const auto at =
+      std::search(body.begin(), body.end(), sig.data.begin(), sig.data.end());
+  ASSERT_NE(at, body.end());
+  at[40] ^= 0x01;
+  const auto digest = crypto::Sha256::hash(body);
+  body.insert(body.end(), digest.begin(), digest.end());
+  EXPECT_EQ(deserialize_tangle(body).code(), ErrorCode::kVerifyFailed);
+}
+
+TEST(TangleIo, ReloadAccountsOneVerifyPerRecord) {
+  TxFactory node(11);
+  const auto tangle = build_tangle(node, 80);  // more than one verify chunk
+  const Bytes wire = serialize_tangle(tangle);
+  const std::uint64_t before = crypto::ed25519_verify_calls();
+  ASSERT_TRUE(deserialize_tangle(wire));
+  EXPECT_EQ(crypto::ed25519_verify_calls() - before, tangle.size() - 1);
 }
 
 TEST(TangleIo, EmptyAndGarbageInputRejected) {
